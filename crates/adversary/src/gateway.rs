@@ -23,6 +23,7 @@ use iis_cluster::{
     batch_envelope, question_key, Answer, Gateway, GatewayConfig, Transport, TransportError,
     TransportResponse,
 };
+use iis_core::wire::{parse_body, SolveBody};
 use iis_obs::{Json, Rng, ToJson};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -80,10 +81,7 @@ impl MockCluster {
                 status: 200,
                 body: Json::parse(&canned_body(key)).expect("canned bodies are JSON"),
             },
-            Err(e) => Answer {
-                status: 400,
-                body: Json::obj([("error", Json::Str(e))]),
-            },
+            Err(e) => Answer::error(400, &e),
         }
     }
 
@@ -100,23 +98,23 @@ impl MockCluster {
                 status: 200,
                 body: String::new(),
             }),
-            "/solve" => {
-                let parsed =
-                    Json::parse(body).map_err(|e| format!("{shard}: unreadable request: {e}"))?;
-                if let Some(Json::Arr(questions)) = parsed.get("questions") {
+            "/solve" => match parse_body(body) {
+                Ok(SolveBody::Batch(questions)) => {
                     let answers: Vec<Answer> = questions.iter().map(|q| self.answer(q)).collect();
                     Ok(TransportResponse {
                         status: 200,
                         body: batch_envelope(&answers),
                     })
-                } else {
-                    let a = self.answer(&parsed);
+                }
+                Ok(SolveBody::One(q)) => {
+                    let a = self.answer(&q);
                     Ok(TransportResponse {
                         status: a.status,
                         body: a.body.to_string(),
                     })
                 }
-            }
+                Err(e) => Err(format!("{shard}: unreadable request: {e}")),
+            },
             _ => Ok(TransportResponse {
                 status: 404,
                 body: "not found".to_string(),
@@ -413,7 +411,7 @@ pub fn run_gateway_case(case: &GatewayCase) -> Vec<OracleFailure> {
     }
 
     // the single-question path must obey the same dichotomy
-    let (status, body) = gateway.solve_one(&questions[0].to_string());
+    let (status, body) = gateway.solve(&questions[0].to_string());
     match status {
         200 => {
             let expect = canned_body(keys[0]);

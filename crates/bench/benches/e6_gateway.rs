@@ -103,7 +103,7 @@ fn batch_vs_sequential(bench: &mut Bench, gateway: &Gateway, transport: &HttpTra
     // twelve connects, twelve headers, twelve parses
     g.bench_function("sequential/12q_2shards", || {
         for q in &qs {
-            let (status, body) = gateway.solve_one(&q.to_string());
+            let (status, body) = gateway.solve(&q.to_string());
             assert_eq!(status, 200, "{body}");
             black_box(&body);
         }
@@ -126,7 +126,7 @@ fn main() {
     // warm every shard's cache on every question so the timed sections
     // measure transport and dispatch, not the first-solve search
     for q in &questions() {
-        let (status, body) = gateway.solve_one(&q.to_string());
+        let (status, body) = gateway.solve(&q.to_string());
         assert_eq!(status, 200, "warmup failed: {body}");
     }
     eprintln!(

@@ -8,12 +8,13 @@
 //!
 //! Routes:
 //!
-//! - `POST /solve` — single-question or `{"questions": […]}` batch, the
-//!   same wire schema the backends speak. Questions are routed by their
-//!   cache key (rendezvous hashing over the `--backends` list), batches
-//!   are fanned out shard-parallel with same-shard questions coalesced
-//!   into one upstream batch call, and failed shards are retried on the
-//!   key's other replicas.
+//! - `POST /solve` — single-question or `{"questions": […]}` batch, read
+//!   by `iis_core::wire` exactly as the backends read it, so a question
+//!   the gateway refuses gets the shard's own `400`. Questions are routed
+//!   by their cache key (rendezvous hashing over the `--backends` list),
+//!   batches are fanned out shard-parallel with same-shard questions
+//!   coalesced into one upstream batch call, and failed shards are retried
+//!   on the key's other replicas.
 //! - `GET /cluster` — per-shard health, failure streaks, and key-space
 //!   ownership.
 //! - `GET /metrics` — the gateway's own counters *plus* every reachable
@@ -22,30 +23,21 @@
 //! - `GET /readyz` — `200` while at least one shard is not Down.
 //! - `POST /shutdown` — stop the prober and exit.
 
-use crate::{err, flag_value, CliError};
+use crate::{err, flag_in, flag_value, CliError};
 use iis_cluster::{Gateway, GatewayConfig, HttpTransport, ShardHealth};
-use iis_obs::http::{serve_with, Handler, Request, Response};
+use iis_core::wire::MAX_JOBS;
+use iis_obs::http::{reason_phrase, serve_with, Handler, Request, Response};
 use iis_obs::{Json, ToJson as _};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Renders a relayed upstream status as a static HTTP status line. The
-/// backends only emit statuses from this table; anything else (a proxy in
-/// between, a corrupted reply) is honestly a gateway problem.
-fn status_line(status: u16) -> &'static str {
-    match status {
-        200 => "200 OK",
-        202 => "202 Accepted",
-        400 => "400 Bad Request",
-        404 => "404 Not Found",
-        405 => "405 Method Not Allowed",
-        413 => "413 Payload Too Large",
-        500 => "500 Internal Server Error",
-        503 => "503 Service Unavailable",
-        504 => "504 Gateway Timeout",
-        _ => "502 Bad Gateway",
-    }
+/// The status a relayed upstream answer goes out with. The backends only
+/// emit statuses with a reason phrase; anything else (a proxy in between,
+/// a corrupted reply) is honestly a gateway problem: `502`.
+fn relayed_status(status: u16) -> u16 {
+    reason_phrase(status).map_or(502, |_| status)
 }
 
 fn handle(gateway: &Gateway, req: &Request) -> Option<Response> {
@@ -54,24 +46,12 @@ fn handle(gateway: &Gateway, req: &Request) -> Option<Response> {
             let Some(body) = req.body_utf8() else {
                 return Some(Response::bad_request("body must be UTF-8"));
             };
-            // batch bodies scatter-gather; everything else relays single
-            if let Ok(v) = Json::parse(body) {
-                match v.get("questions") {
-                    Some(Json::Arr(questions)) => {
-                        return Some(Response::json(gateway.solve_batch(questions)))
-                    }
-                    Some(_) => {
-                        return Some(Response::bad_request("\"questions\" must be an array"))
-                    }
-                    None => {}
-                }
-            }
-            let (status, body) = gateway.solve_one(body);
-            Some(Response::json_status(status_line(status), body))
+            let (status, body) = gateway.solve(body);
+            Some(Response::json_status(relayed_status(status), body))
         }
         ("GET", "/cluster") => Some(Response::json(gateway.cluster_json())),
         ("GET", "/metrics") => Some(Response {
-            status: "200 OK",
+            status: 200,
             content_type: "text/plain; version=0.0.4; charset=utf-8",
             headers: Vec::new(),
             body: gateway.metrics_text(),
@@ -93,10 +73,10 @@ fn handle(gateway: &Gateway, req: &Request) -> Option<Response> {
             Some(if up > 0 {
                 Response::json(body)
             } else {
-                Response::json_status("503 Service Unavailable", body)
+                Response::json_status(503, body)
             })
         }
-        // /shutdown is handled by the caller (it owns the park latch)
+        // /shutdown is handled by the caller (it owns the shutdown channel)
         (_, "/solve") | (_, "/shutdown") => Some(Response::method_not_allowed("POST")),
         (_, "/cluster") | (_, "/healthz") | (_, "/readyz") => {
             Some(Response::method_not_allowed("GET"))
@@ -126,37 +106,14 @@ pub fn cmd_gateway(args: &[String]) -> Result<String, CliError> {
     if backends.is_empty() {
         return Err(err("--backends needs at least one address"));
     }
-    let replicas: usize = flag_value(args, "--replicas")?
-        .unwrap_or("2")
-        .parse()
-        .map_err(|_| err("bad --replicas"))?;
-    if replicas == 0 || replicas > backends.len() {
-        return Err(err(format!(
-            "need 1 ≤ --replicas ≤ {} (the backend count)",
-            backends.len()
-        )));
-    }
+    // a replica set spans distinct backends
+    let replicas = flag_in(args, "--replicas", 2, 1..=backends.len())?;
     let addr = flag_value(args, "--addr")?
         .unwrap_or("127.0.0.1:0")
         .to_string();
-    let workers: usize = flag_value(args, "--workers")?
-        .unwrap_or("4")
-        .parse()
-        .map_err(|_| err("bad --workers"))?;
-    if workers == 0 || workers > 64 {
-        return Err(err("need 1 ≤ --workers ≤ 64"));
-    }
-    let probe_ms: u64 = flag_value(args, "--probe-ms")?
-        .unwrap_or("1000")
-        .parse()
-        .map_err(|_| err("bad --probe-ms"))?;
-    if probe_ms == 0 {
-        return Err(err("bad --probe-ms"));
-    }
-    let deadline: u64 = flag_value(args, "--timeout-secs")?
-        .unwrap_or("10")
-        .parse()
-        .map_err(|_| err("bad --timeout-secs"))?;
+    let workers = flag_in(args, "--workers", 4, 1..=MAX_JOBS)?;
+    let probe_ms = flag_in(args, "--probe-ms", 1000, 1..=u64::MAX)?;
+    let deadline = flag_in(args, "--timeout-secs", 10, 0..=u64::MAX)?;
     // like iis serve: a gateway is always observable
     iis_obs::set_enabled(true);
     let transport = Arc::new(HttpTransport::new(Duration::from_secs(deadline.max(1))));
@@ -172,61 +129,40 @@ pub fn cmd_gateway(args: &[String]) -> Result<String, CliError> {
     // one synchronous probe pass so the first request sees real health,
     // then a background prober with the shutdown latch
     gateway.probe();
-    let shutdown = Arc::new((Mutex::new(false), Condvar::new()));
+    // POST /shutdown wakes the main thread, which stops the prober by
+    // dropping the prober's channel (as an early return does)
+    let (shutdown_tx, shutdown_rx) = mpsc::channel::<()>();
+    let (stop_prober, prober_rx) = mpsc::channel::<()>();
     let prober = {
         let gateway = Arc::clone(&gateway);
-        let shutdown = Arc::clone(&shutdown);
+        let period = Duration::from_millis(probe_ms);
         std::thread::spawn(move || {
-            let (flag, signal) = &*shutdown;
-            let mut stop = flag.lock().unwrap_or_else(PoisonError::into_inner);
-            while !*stop {
-                let (next, timeout) = signal
-                    .wait_timeout(stop, Duration::from_millis(probe_ms))
-                    .unwrap_or_else(PoisonError::into_inner);
-                stop = next;
-                if timeout.timed_out() && !*stop {
-                    // probe outside the latch so a slow shard cannot
-                    // delay shutdown
-                    drop(stop);
-                    gateway.probe();
-                    stop = flag.lock().unwrap_or_else(PoisonError::into_inner);
-                }
+            while let Err(RecvTimeoutError::Timeout) = prober_rx.recv_timeout(period) {
+                gateway.probe();
             }
         })
     };
-    let stopping = Arc::new(AtomicBool::new(false));
+    let stopping = AtomicBool::new(false);
     let handler: Arc<Handler> = {
         let gateway = Arc::clone(&gateway);
-        let shutdown = Arc::clone(&shutdown);
-        let stopping = Arc::clone(&stopping);
         Arc::new(move |req: &Request| {
-            if (req.method.as_str(), req.path.as_str()) == ("POST", "/shutdown") {
+            let route = (req.method.as_str(), req.path.as_str());
+            if route == ("POST", "/shutdown") {
                 stopping.store(true, Ordering::Release);
-                let (flag, signal) = &*shutdown;
-                *flag.lock().unwrap_or_else(PoisonError::into_inner) = true;
-                signal.notify_all();
+                let _ = shutdown_tx.send(());
                 return Some(Response::json("{\"ok\": true}".to_string()));
             }
-            if stopping.load(Ordering::Acquire)
-                && (req.method.as_str(), req.path.as_str()) == ("POST", "/solve")
-            {
-                return Some(Response::json_status(
-                    "503 Service Unavailable",
-                    "{\"error\": \"shutting down\"}".to_string(),
-                ));
+            if stopping.load(Ordering::Acquire) && route == ("POST", "/solve") {
+                let body = "{\"error\": \"shutting down\"}".to_string();
+                return Some(Response::json_status(503, body));
             }
             handle(&gateway, req)
         })
     };
     let server = serve_with(&addr, handler).map_err(|e| err(format!("cannot bind {addr}: {e}")))?;
     eprintln!("gateway on http://{}", server.addr());
-    {
-        let (flag, signal) = &*shutdown;
-        let mut stop = flag.lock().unwrap_or_else(PoisonError::into_inner);
-        while !*stop {
-            stop = signal.wait(stop).unwrap_or_else(PoisonError::into_inner);
-        }
-    }
+    let _ = shutdown_rx.recv();
+    drop(stop_prober);
     let _ = prober.join();
     server.shutdown();
     let snap = iis_obs::snapshot();
@@ -406,6 +342,68 @@ mod tests {
     }
 
     #[test]
+    fn hostile_bodies_get_the_same_400_from_a_shard_and_the_gateway() {
+        let dir = std::env::temp_dir().join(format!("iis_gateway_hostile_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = dir.to_str().unwrap().to_string();
+        let (shard, join_shard) =
+            spawn_http(move |a| crate::cmd_serve(&a), &["--store".into(), store]);
+        let extra: Vec<String> = [
+            "--backends",
+            &shard.to_string(),
+            "--replicas",
+            "1",
+            "--probe-ms",
+            "60000",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        let (gw, join_gw) = spawn_http(move |a| cmd_gateway(&a), &extra);
+
+        let q = |fields: &str| format!("{{\"spec\": \"trivial:1\", {fields}}}");
+        let oversized = vec![q("\"max_rounds\": 1"); iis_core::wire::MAX_BATCH + 1];
+        let hostile = [
+            r#"{"spec": "@/etc/hostname"}"#.to_string(),
+            r#"{"spec": "@/no/such/file"}"#.to_string(),
+            q("\"max_rounds\": -1"),
+            q("\"max_rounds\": 2.7"),
+            q("\"max_rounds\": 7"),
+            q("\"max_rounds\": \"2\""),
+            q("\"max_rounds\": 1e300"),
+            q("\"budget\": -1"),
+            q("\"jobs\": 1e30"),
+            q("\"task\": {}"),
+            r#"{"max_rounds": 1}"#.to_string(),
+            format!("{{\"questions\": [{}]}}", oversized.join(",")),
+        ];
+        let mut replies = Vec::new();
+        for body in &hostile {
+            let (head, from_shard) = http(shard, "POST", "/solve", body);
+            assert!(head.starts_with("HTTP/1.1 400"), "shard, {body}: {head}");
+            let (head, from_gateway) = http(gw, "POST", "/solve", body);
+            assert!(head.starts_with("HTTP/1.1 400"), "gateway, {body}: {head}");
+            assert_eq!(from_shard, from_gateway, "{body}");
+            replies.push(from_shard);
+        }
+        assert_eq!(
+            replies[0], replies[1],
+            "the reply must not tell an existing file from a missing one"
+        );
+        // nothing was admitted, so nothing was solved or stored
+        let (_, jobs) = http(shard, "GET", "/jobs", "");
+        assert_eq!(jobs, "{\"jobs\":[]}");
+
+        for (addr, join) in [(gw, join_gw), (shard, join_shard)] {
+            let (head, _) = http(addr, "POST", "/shutdown", "");
+            assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            join.join().unwrap().unwrap();
+        }
+        assert!(iis_store::Store::open(&dir).unwrap().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn cmd_gateway_flag_errors() {
         let argv = |s: &str| -> Vec<String> { s.split(' ').map(String::from).collect() };
         assert!(cmd_gateway(&argv("--addr 127.0.0.1:0")).is_err()); // no backends
@@ -419,10 +417,12 @@ mod tests {
     }
 
     #[test]
-    fn status_lines_cover_the_backend_statuses() {
+    fn unknown_upstream_statuses_relay_as_502() {
         for s in [200, 202, 400, 404, 405, 413, 500, 503, 504] {
-            assert!(status_line(s).starts_with(&s.to_string()), "{s}");
+            assert_eq!(relayed_status(s), s);
         }
-        assert_eq!(status_line(599), "502 Bad Gateway");
+        for s in [201, 418, 599] {
+            assert_eq!(relayed_status(s), 502, "{s}");
+        }
     }
 }

@@ -10,6 +10,7 @@ use iis_adversary::{fuzz, FuzzConfig, Layer};
 use iis_core::bg::BgSimulation;
 use iis_core::protocol_complex::{check_lemma_3_2, check_lemma_3_3};
 use iis_core::solvability::{BoundedOutcome, Kernel, SolveOptions, Solver};
+use iis_core::wire;
 use iis_core::EmulatorMachine;
 use iis_obs::ToJson as _;
 use iis_sched::{AtomicMachine, IisRunner, IisSchedule};
@@ -94,7 +95,9 @@ USAGE:
 
 TASK:
   trivial:N | consensus:N | kset:N:K | renaming:N:M | eps:N:GRID | oneshot:N
-  (N = index, i.e. N+1 processes) or @FILE.json (a serialized task)
+  (N = index, i.e. N+1 processes) or @FILE.json (a serialized task;
+  CLI-only: a POST /solve question names a library spec or carries the
+  task inline as \"task\", and never reads a file)
 
 ADVERSARY: lockstep | sequential | rotating | laggard | random (default)
 
@@ -162,6 +165,35 @@ pub(crate) fn flag_value<'a>(args: &'a [String], flag: &str) -> Result<Option<&'
         }
     }
     Ok(None)
+}
+
+/// Flag `flag` as a number in `range`; `default` when the flag is absent.
+///
+/// # Errors
+///
+/// Returns a [`CliError`] for a value that does not parse or falls
+/// outside `range`.
+pub(crate) fn flag_in<T>(
+    args: &[String],
+    flag: &str,
+    default: T,
+    range: std::ops::RangeInclusive<T>,
+) -> Result<T, CliError>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    let v = match flag_value(args, flag)? {
+        Some(s) => s.parse().map_err(|_| err(format!("bad {flag}")))?,
+        None => default,
+    };
+    if !range.contains(&v) {
+        return Err(err(format!(
+            "need {} ≤ {flag} ≤ {}",
+            range.start(),
+            range.end()
+        )));
+    }
+    Ok(v)
 }
 
 fn build_tower(n: usize, b: usize) -> (Complex, Vec<Subdivision>, Subdivision) {
@@ -269,19 +301,6 @@ pub fn cmd_check_lemmas(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Parses a `--kernel` / `"kernel"` value (`compiled|reference`).
-///
-/// # Errors
-///
-/// Returns a [`CliError`] naming the accepted engines.
-pub(crate) fn parse_kernel(s: &str) -> Result<Kernel, CliError> {
-    match s {
-        "compiled" => Ok(Kernel::Compiled),
-        "reference" => Ok(Kernel::Reference),
-        other => Err(err(format!("bad --kernel: {other} (compiled|reference)"))),
-    }
-}
-
 /// `iis solve <TASK> [--max-rounds B] [--budget NODES] [--jobs N]
 /// [--kernel K] [--timeout-secs T] [--store DIR]`
 ///
@@ -300,19 +319,20 @@ pub(crate) fn parse_kernel(s: &str) -> Result<Kernel, CliError> {
 pub fn cmd_solve(args: &[String]) -> Result<String, CliError> {
     let spec = args.first().ok_or_else(|| err("missing <TASK>"))?;
     let task = parse_task(spec)?;
-    let max_rounds: usize = flag_value(args, "--max-rounds")?
-        .unwrap_or("2")
+    // the defaults and the jobs ceiling are the solve protocol's, so
+    // `iis solve` and a bare POST /solve question ask the same thing
+    let max_rounds = flag_in(
+        args,
+        "--max-rounds",
+        wire::DEFAULT_MAX_ROUNDS,
+        0..=usize::MAX,
+    )?;
+    let budget = flag_in(args, "--budget", wire::DEFAULT_BUDGET, 0..=u64::MAX)?;
+    let jobs = flag_in(args, "--jobs", wire::DEFAULT_JOBS, 0..=wire::MAX_JOBS)?;
+    let kernel: Kernel = flag_value(args, "--kernel")?
+        .unwrap_or("compiled")
         .parse()
-        .map_err(|_| err("bad --max-rounds"))?;
-    let budget: u64 = flag_value(args, "--budget")?
-        .unwrap_or("1000000")
-        .parse()
-        .map_err(|_| err("bad --budget"))?;
-    let jobs: usize = flag_value(args, "--jobs")?
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| err("bad --jobs"))?;
-    let kernel = parse_kernel(flag_value(args, "--kernel")?.unwrap_or("compiled"))?;
+        .map_err(|e| err(format!("bad --kernel: {e}")))?;
     let timeout_secs: Option<u64> = match flag_value(args, "--timeout-secs")? {
         Some(t) => Some(t.parse().map_err(|_| err("bad --timeout-secs"))?),
         None => None,
@@ -1073,6 +1093,15 @@ mod tests {
         assert!(out.contains("decided:"));
         assert!(cmd_bg(&argv("3 1")).is_err());
         assert!(cmd_bg(&argv("3 1 2 --crash zz")).is_err());
+    }
+
+    #[test]
+    fn solve_jobs_share_the_wire_ceiling() {
+        // refused at flag parsing, before any thread is started
+        let e = cmd_solve(&argv("trivial:1 --jobs 65")).unwrap_err();
+        assert_eq!(e.0, "need 0 ≤ --jobs ≤ 64");
+        assert!(cmd_solve(&argv("trivial:1 --jobs -1")).is_err());
+        assert!(cmd_solve(&argv("trivial:1 --kernel fast")).is_err());
     }
 
     #[test]

@@ -2,30 +2,37 @@
 //! persistent witness store.
 //!
 //! The transport is `iis_obs::http` (this module only supplies a
-//! [`Handler`]); the cache logic is `iis_core::cache`; the persistence is
-//! `iis_store::Store`. What lives here is the **service glue**: request
-//! parsing, the job registry, request coalescing, and a bounded pool of
-//! solve workers so concurrent requests make progress without unbounded
-//! thread spawns.
+//! [`Handler`]); the request format is `iis_core::wire`; the cache logic
+//! is `iis_core::cache`; the persistence is `iis_store::Store`. What lives
+//! here is the **service glue**: the job registry, request coalescing, and
+//! a bounded pool of solve workers so concurrent requests make progress
+//! without unbounded thread spawns.
 //!
 //! Routes:
 //!
 //! - `POST /solve` — body `{"spec": "consensus:2" | "task": {…},
 //!   "max_rounds": B, "budget": N, "jobs": J, "kernel": "compiled",
-//!   "wait": true}` (everything but the task optional). Answers from the
-//!   store when the record exists (`"cached": true`, counted by
-//!   `serve.cache_hits`); otherwise runs the sweep on the worker pool.
-//!   With `"wait": false` replies `202 Accepted` with a job id instead of
-//!   blocking. A second request for a key already being solved joins the
-//!   in-flight job (`serve.coalesced`) rather than solving twice.
+//!   "wait": true}` (everything but the task optional). The body is parsed
+//!   once, by `iis_core::wire` — the parser `iis gateway` routes with, so
+//!   both tiers refuse the same questions with the same `400` text. The
+//!   rules are strict: `spec` is a library spec and never a file path;
+//!   `max_rounds` (≤ 6), `budget` and `jobs` (≤ 64) are non-negative JSON
+//!   integers, never clamped or truncated; any other field is refused.
+//!   Answers from the store when the record exists (`"cached": true`,
+//!   counted by `serve.cache_hits`); otherwise runs the sweep on the
+//!   worker pool. With `"wait": false` replies `202 Accepted` with a job
+//!   id instead of blocking. A second request for a key already being
+//!   solved joins the in-flight job (`serve.coalesced`) rather than
+//!   solving twice.
 //! - `POST /solve` with `{"questions": [q, …]}` — the **batch** form
 //!   (`serve.batch_requests`): every element is a single-question body as
 //!   above. All questions are admitted up front (so the worker pool runs
 //!   them in parallel and duplicate keys coalesce), then answered in
 //!   order as `{"answers": [{"status": N, "body": {…}}, …]}` where each
-//!   `body` is exactly the single-question response. The envelope is
-//!   `200` even when individual questions fail — per-question statuses
-//!   live inside, so one bad question cannot mask five good answers.
+//!   `body` is exactly the single-question response, at most 256
+//!   questions per body. The envelope is `200` even when individual
+//!   questions fail — per-question statuses live inside, so one bad
+//!   question cannot mask five good answers.
 //!   This is the route the gateway coalesces same-shard questions onto.
 //! - `GET /jobs/<id>` — job status plus the result record when done.
 //! - `GET /jobs` — every job this process has accepted.
@@ -39,7 +46,7 @@
 //!
 //! **Overload and deadlines.** Admission is bounded: at most `--queue N`
 //! jobs wait for a worker; past that, `POST /solve` answers `503` with a
-//! `Retry-After` header (`serve.rejected`). With `--timeout-secs T`, a
+//! `Retry-After` header (`serve.rejected`), as it does while draining. With `--timeout-secs T`, a
 //! waiting `POST /solve` that cannot be answered within `T` seconds gets a
 //! structured `504` (`serve.timeouts`) — the job keeps running and can be
 //! polled at `/jobs/<id>`; a solve the search itself abandons at the
@@ -56,14 +63,14 @@
 //! replies replay the stored bytes — across restarts too, when `--store`
 //! points at the same directory.
 
-use crate::{err, flag_value, parse_kernel, parse_task, CliError};
-use iis_core::cache::{cache_key, report_from_json, solve_up_to_cached, SolveCache};
-use iis_core::solvability::SolveOptions;
+use crate::{err, flag_in, flag_value, CliError};
+use iis_core::cache::{
+    decided, key_hex, report_from_json, report_to_json, solve_up_to_cached, SolveCache,
+};
+use iis_core::wire::{batch_envelope, parse_body, Answer, Question, SolveBody, MAX_JOBS};
 use iis_obs::http::{serve_with, Handler, Request, Response};
-use iis_obs::json::FromJson as _;
 use iis_obs::{Json, ToJson as _};
 use iis_store::Store;
-use iis_tasks::Task;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -71,10 +78,7 @@ use std::time::{Duration, Instant};
 
 /// One accepted solve question and its lifecycle.
 struct Job {
-    spec: String,
-    task: Task,
-    max_rounds: usize,
-    opts: SolveOptions,
+    question: Question,
     status: Status,
 }
 
@@ -161,17 +165,11 @@ struct SharedCache<'a>(&'a Mutex<Box<dyn SolveCache + Send>>);
 
 impl SolveCache for SharedCache<'_> {
     fn get(&mut self, key: u64) -> Option<String> {
-        self.0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
+        lock(self.0).get(key)
     }
 
     fn put(&mut self, key: u64, value: &str) {
-        self.0
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .put(key, value);
+        lock(self.0).put(key, value);
     }
 }
 
@@ -179,96 +177,33 @@ fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The parsed body of a `POST /solve`.
-struct SolveRequest {
-    spec: String,
-    task: Task,
-    max_rounds: usize,
-    opts: SolveOptions,
-    wait: bool,
-}
-
-fn parse_solve_request(body: &str) -> Result<SolveRequest, String> {
-    let v = Json::parse(body).map_err(|e| format!("bad JSON body: {e}"))?;
-    solve_request_from_json(&v)
-}
-
-/// [`parse_solve_request`] on an already-parsed value — the batch route
-/// hands each array element here directly instead of re-serializing it.
-fn solve_request_from_json(v: &Json) -> Result<SolveRequest, String> {
-    let (spec, task) = match (v.get("spec"), v.get("task")) {
-        (Some(s), None) => {
-            let s = s.as_str().ok_or("\"spec\" must be a string")?;
-            let task = parse_task(s).map_err(|e| e.to_string())?;
-            (s.to_string(), task)
-        }
-        (None, Some(t)) => {
-            let task = Task::from_json(t).map_err(|e| format!("bad \"task\": {e}"))?;
-            (format!("@inline:{}", task.name()), task)
-        }
-        (Some(_), Some(_)) => return Err("give \"spec\" or \"task\", not both".to_string()),
-        (None, None) => return Err("body needs a \"spec\" or a \"task\"".to_string()),
-    };
-    let num = |key: &str, default: f64| -> Result<f64, String> {
-        match v.get(key) {
-            None | Some(Json::Null) => Ok(default),
-            Some(j) => j
-                .as_f64()
-                .ok_or_else(|| format!("\"{key}\" must be a number")),
-        }
-    };
-    let max_rounds = num("max_rounds", 2.0)? as usize;
-    let mut opts = SolveOptions::new()
-        .budget(num("budget", 1_000_000.0)? as u64)
-        .jobs(num("jobs", 1.0)? as usize);
-    if let Some(k) = v.get("kernel") {
-        let k = k.as_str().ok_or("\"kernel\" must be a string")?;
-        opts = opts.kernel(parse_kernel(k).map_err(|e| e.to_string())?);
-    }
-    let wait = match v.get("wait") {
-        None | Some(Json::Null) => true,
-        Some(Json::Bool(b)) => *b,
-        Some(_) => return Err("\"wait\" must be a boolean".to_string()),
-    };
-    if max_rounds > 6 {
-        return Err("max_rounds > 6 would build an astronomically large complex".to_string());
-    }
-    Ok(SolveRequest {
-        spec,
-        task,
-        max_rounds,
-        opts,
-        wait,
-    })
-}
-
-fn key_hex(key: u64) -> Json {
-    Json::Str(format!("{key:016x}"))
-}
-
-/// Most questions accepted in one batch body. Past this the request is
-/// malformed rather than shed: a well-behaved client splits its sweep.
-const MAX_BATCH: usize = 256;
-
 /// The outcome of admitting one question (without blocking on it).
 enum Admission {
-    /// Answered on the spot: cache hit, shed load, or a drain 503.
-    Ready(Response),
+    /// Answered on the spot: cache hit, shed load, a drain 503, or a
+    /// malformed question's 400.
+    Ready(Answer),
     /// Queued or coalesced; settle it with [`SolveService::respond`].
     Pending { id: u64, key: u64, coalesced: bool },
 }
 
-/// One batch-envelope element: the response a question would have gotten
-/// standalone, as `{"status": N, "body": {…}}`.
-fn answer_json(resp: &Response) -> Json {
-    let status: u16 = resp
-        .status
-        .split(' ')
-        .next()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(500);
-    let body = Json::parse(&resp.body).unwrap_or_else(|_| Json::Str(resp.body.clone()));
-    Json::obj([("status", Json::Num(f64::from(status))), ("body", body)])
+/// A JSON object answer with the given status.
+fn answer(status: u16, fields: Vec<(&'static str, Json)>) -> Answer {
+    Answer {
+        status,
+        body: Json::obj(fields),
+    }
+}
+
+/// A failed or timed-out job's answer: `{"error", "job", "key"}`, plus the
+/// job's `"status"` when it is still pollable.
+fn job_error(http: u16, id: u64, key: u64, error: &str, status: Option<&str>) -> Answer {
+    let mut fields = vec![
+        ("error", Json::Str(error.to_string())),
+        ("job", Json::Num(id as f64)),
+        ("key", Json::Str(key_hex(key))),
+    ];
+    fields.extend(status.map(|s| ("status", Json::Str(s.to_string()))));
+    answer(http, fields)
 }
 
 impl SolveService {
@@ -309,22 +244,20 @@ impl SolveService {
     fn worker_loop(&self) {
         let _alive = AliveGuard::enroll(&self.workers_alive);
         loop {
-            let (id, task, max_rounds, opts) = {
+            let (id, q) = {
                 let mut st = lock(&self.state);
                 loop {
                     if self.stop_workers.load(Ordering::Acquire) {
                         return;
                     }
                     if let Some(id) = st.queue.pop_front() {
-                        let info = {
-                            let job = st.jobs.get_mut(&id).expect("queued job exists");
-                            job.status = Status::Running;
-                            (id, job.task.clone(), job.max_rounds, job.opts)
-                        };
+                        let job = st.jobs.get_mut(&id).expect("queued job exists");
+                        job.status = Status::Running;
+                        let q = job.question.clone();
                         st.active += 1;
                         iis_obs::metrics::gauge_set("serve.jobs_active", st.active);
                         self.changed.notify_all();
-                        break info;
+                        break (id, q);
                     }
                     st = self
                         .changed
@@ -333,34 +266,37 @@ impl SolveService {
                 }
             };
             let started = Instant::now();
-            let out = solve_up_to_cached(&task, max_rounds, &opts, &mut SharedCache(&self.store));
-            let status =
-                if out.report.witness().is_some() || out.report.results().len() == max_rounds + 1 {
-                    Status::Done {
-                        result: iis_core::cache::report_to_json(&out.report),
-                        cached: out.hit,
-                    }
-                } else if self
-                    .timeout
-                    .is_some_and(|deadline| started.elapsed() >= deadline)
-                {
-                    // the search abandoned the sweep at the request deadline
-                    iis_obs::metrics::add("serve.timeouts", 1);
-                    Status::TimedOut(format!(
-                        "deadline exceeded: search stopped at b = {} after {:?}",
-                        out.report.results().len(),
-                        self.timeout.unwrap_or_default()
-                    ))
-                } else {
-                    // budget ran out: inconclusive, nothing stored
-                    Status::Failed(format!(
-                        "inconclusive: search exhausted at b = {} (raise \"budget\")",
-                        out.report.results().len()
-                    ))
-                };
+            let out = solve_up_to_cached(
+                &q.task,
+                q.max_rounds,
+                &q.opts,
+                &mut SharedCache(&self.store),
+            );
+            let status = if decided(&out.report, q.max_rounds) {
+                Status::Done {
+                    result: report_to_json(&out.report),
+                    cached: out.hit,
+                }
+            } else if self
+                .timeout
+                .is_some_and(|deadline| started.elapsed() >= deadline)
+            {
+                // the search abandoned the sweep at the request deadline
+                iis_obs::metrics::add("serve.timeouts", 1);
+                Status::TimedOut(format!(
+                    "deadline exceeded: search stopped at b = {} after {:?}",
+                    out.report.results().len(),
+                    self.timeout.unwrap_or_default()
+                ))
+            } else {
+                // budget ran out: inconclusive, nothing stored
+                Status::Failed(format!(
+                    "inconclusive: search exhausted at b = {} (raise \"budget\")",
+                    out.report.results().len()
+                ))
+            };
             let mut st = lock(&self.state);
-            let key = cache_key(&task, max_rounds);
-            st.inflight.remove(&key);
+            st.inflight.remove(&out.key);
             if let Some(job) = st.jobs.get_mut(&id) {
                 job.status = status;
             }
@@ -370,11 +306,11 @@ impl SolveService {
         }
     }
 
-    /// Blocks until job `id` settles, then renders its response. With a
+    /// Blocks until job `id` settles, then renders its answer. With a
     /// service deadline configured, a job that is still queued or running
     /// when it expires gets a structured `504` — the job itself keeps its
     /// worker and stays pollable at `/jobs/<id>`.
-    fn wait_for(&self, id: u64, key: u64, coalesced: bool) -> Response {
+    fn wait_for(&self, id: u64, key: u64, coalesced: bool) -> Answer {
         let started = Instant::now();
         let mut st = lock(&self.state);
         loop {
@@ -383,27 +319,17 @@ impl SolveService {
                     let mut fields = vec![
                         ("cached", Json::Bool(*cached)),
                         ("job", Json::Num(id as f64)),
-                        ("key", key_hex(key)),
+                        ("key", Json::Str(key_hex(key))),
                         ("result", result.clone()),
                     ];
                     if coalesced {
                         fields.insert(0, ("coalesced", Json::Bool(true)));
                     }
-                    return Response::json(Json::obj(fields).to_string());
+                    return answer(200, fields);
                 }
-                Some(Status::Failed(e)) => {
-                    return Response::json_status(
-                        "500 Internal Server Error",
-                        Json::obj([
-                            ("error", Json::Str(e.clone())),
-                            ("job", Json::Num(id as f64)),
-                            ("key", key_hex(key)),
-                        ])
-                        .to_string(),
-                    );
-                }
+                Some(Status::Failed(e)) => return job_error(500, id, key, e, None),
                 Some(Status::TimedOut(e)) => {
-                    return Self::gateway_timeout(id, key, e.clone(), "timed_out");
+                    return job_error(504, id, key, e, Some("timed_out"));
                 }
                 Some(status) => {
                     let remaining = match self.timeout {
@@ -416,7 +342,7 @@ impl SolveService {
                                     "deadline exceeded after {:?}; poll /jobs/{id}",
                                     deadline
                                 );
-                                return Self::gateway_timeout(id, key, detail, status.name());
+                                return job_error(504, id, key, &detail, Some(status.name()));
                             }
                         },
                     };
@@ -433,57 +359,47 @@ impl SolveService {
                         }
                     };
                 }
-                None => return Response::bad_request("job vanished"),
+                None => return Answer::error(400, "job vanished"),
             }
         }
     }
 
-    fn gateway_timeout(id: u64, key: u64, error: String, status: &str) -> Response {
-        Response::json_status(
-            "504 Gateway Timeout",
-            Json::obj([
-                ("error", Json::Str(error)),
-                ("job", Json::Num(id as f64)),
-                ("key", key_hex(key)),
-                ("status", Json::Str(status.to_string())),
-            ])
-            .to_string(),
-        )
-    }
-
-    /// Parses one question body, applying the service-wide deadline.
-    fn prepare(&self, body: &str) -> Result<SolveRequest, Response> {
-        let req = parse_solve_request(body).map_err(|e| Response::bad_request(&e))?;
-        Ok(self.apply_deadline(req))
-    }
-
-    fn apply_deadline(&self, mut req: SolveRequest) -> SolveRequest {
-        if let Some(deadline) = self.timeout {
-            // the search honors the request deadline too, so a worker is
-            // never pinned long past the 504 its waiter already received
-            req.opts = req.opts.timeout(deadline);
+    /// Reads one question under the [`iis_core::wire`] rules and admits it
+    /// (see [`SolveService::admit`]); a malformed question is answered
+    /// `400` on the spot. Returns the question's `wait` with the outcome.
+    fn admit_json(&self, q: &Json) -> (bool, Admission) {
+        match Question::from_json(q) {
+            Err(e) => (true, Admission::Ready(Answer::error(400, &e))),
+            Ok(mut q) => {
+                if let Some(deadline) = self.timeout {
+                    // the search honors the request deadline too, so a
+                    // worker is never pinned long past the 504 its waiter
+                    // already received
+                    q.opts = q.opts.timeout(deadline);
+                }
+                (q.wait, self.admit(q))
+            }
         }
-        req
     }
 
-    /// Admits one parsed question: answers immediately from the store,
-    /// joins an in-flight job, or enqueues a new one. Never blocks — the
-    /// batch route admits *everything* before waiting on *anything*, so a
-    /// batch keeps the whole worker pool busy.
-    fn admit(&self, req: &SolveRequest) -> Admission {
-        let key = cache_key(&req.task, req.max_rounds);
+    /// Admits one question: answers immediately from the store, joins an
+    /// in-flight job, or enqueues a new one. Never blocks — the batch
+    /// route admits *everything* before waiting on *anything*, so a batch
+    /// keeps the whole worker pool busy.
+    fn admit(&self, q: Question) -> Admission {
+        let key = q.key();
         // fast path: the store already holds a validated record
         if let Some(text) = SharedCache(&self.store).get(key) {
             if let Ok(json) = Json::parse(&text) {
-                if report_from_json(&req.task, &json).is_ok() {
+                if report_from_json(&q.task, &json).is_ok() {
                     iis_obs::metrics::add("serve.cache_hits", 1);
-                    return Admission::Ready(Response::json(
-                        Json::obj([
+                    return Admission::Ready(answer(
+                        200,
+                        vec![
                             ("cached", Json::Bool(true)),
-                            ("key", key_hex(key)),
+                            ("key", Json::Str(key_hex(key))),
                             ("result", json),
-                        ])
-                        .to_string(),
+                        ],
                     ));
                 }
             }
@@ -491,10 +407,7 @@ impl SolveService {
         // coalesce onto an in-flight job for the same key, or enqueue
         let mut st = lock(&self.state);
         if st.shutdown {
-            return Admission::Ready(Response::json_status(
-                "503 Service Unavailable",
-                Json::obj([("error", Json::Str("shutting down".to_string()))]).to_string(),
-            ));
+            return Admission::Ready(Answer::error(503, "shutting down"));
         }
         if let Some(&id) = st.inflight.get(&key) {
             iis_obs::metrics::add("serve.coalesced", 1);
@@ -508,27 +421,20 @@ impl SolveService {
             // bounded admission: shed load instead of queueing
             // unboundedly; the client is told when to come back
             iis_obs::metrics::add("serve.rejected", 1);
-            return Admission::Ready(
-                Response::json_status(
-                    "503 Service Unavailable",
-                    Json::obj([
-                        ("error", Json::Str("queue full".to_string())),
-                        ("queue", self.max_queue.to_json()),
-                    ])
-                    .to_string(),
-                )
-                .with_header("Retry-After", "1"),
-            );
+            return Admission::Ready(answer(
+                503,
+                vec![
+                    ("error", Json::Str("queue full".to_string())),
+                    ("queue", self.max_queue.to_json()),
+                ],
+            ));
         }
         let id = st.next_id;
         st.next_id += 1;
         st.jobs.insert(
             id,
             Job {
-                spec: req.spec.clone(),
-                task: req.task.clone(),
-                max_rounds: req.max_rounds,
-                opts: req.opts,
+                question: q,
                 status: Status::Queued,
             },
         );
@@ -542,9 +448,13 @@ impl SolveService {
         }
     }
 
-    /// Settles an admitted question into its response: block on the job
+    /// Settles an admitted question into its answer: block on the job
     /// (`wait: true`, the default) or acknowledge with a `202`.
-    fn respond(&self, wait: bool, id: u64, key: u64, coalesced: bool) -> Response {
+    fn respond(&self, wait: bool, admission: Admission) -> Answer {
+        let (id, key, coalesced) = match admission {
+            Admission::Ready(answer) => return answer,
+            Admission::Pending { id, key, coalesced } => (id, key, coalesced),
+        };
         if wait {
             return self.wait_for(id, key, coalesced);
         }
@@ -553,33 +463,30 @@ impl SolveService {
         let mut fields = vec![
             ("job", Json::Num(id as f64)),
             ("status", Json::Str(status.to_string())),
-            ("key", key_hex(key)),
+            ("key", Json::Str(key_hex(key))),
         ];
         if coalesced {
             fields.insert(0, ("coalesced", Json::Bool(true)));
         }
-        Response::json_status("202 Accepted", Json::obj(fields).to_string())
+        answer(202, fields)
     }
 
-    /// `POST /solve`: the batch form when the body carries `"questions"`,
-    /// the single-question form otherwise.
+    /// `POST /solve`, parsed once by [`parse_body`]: a single question,
+    /// or the batch form. A `503` (queue full or draining) carries
+    /// `Retry-After`.
     fn handle_solve(&self, body: &str) -> Response {
-        if let Ok(v) = Json::parse(body) {
-            match v.get("questions") {
-                Some(Json::Arr(questions)) => return self.handle_batch(questions),
-                Some(_) => return Response::bad_request("\"questions\" must be an array"),
-                None => {}
-            }
+        let q = match parse_body(body) {
+            Ok(SolveBody::One(q)) => q,
+            Ok(SolveBody::Batch(questions)) => return self.handle_batch(&questions),
+            Err(e) => return Response::bad_request(&e),
+        };
+        let (wait, admission) = self.admit_json(&q);
+        let a = self.respond(wait, admission);
+        let mut resp = Response::json_status(a.status, a.body.to_string());
+        if a.status == 503 {
+            resp.headers.push(("Retry-After", "1".to_string()));
         }
-        match self.prepare(body) {
-            Err(resp) => resp,
-            Ok(req) => match self.admit(&req) {
-                Admission::Ready(resp) => resp,
-                Admission::Pending { id, key, coalesced } => {
-                    self.respond(req.wait, id, key, coalesced)
-                }
-            },
-        }
+        resp
     }
 
     /// The batch form: admit every question first (pass 1), so the worker
@@ -587,48 +494,21 @@ impl SolveService {
     /// settle them in order (pass 2). One answer per question, in the
     /// question's position; the envelope itself is always `200`.
     fn handle_batch(&self, questions: &[Json]) -> Response {
-        if questions.len() > MAX_BATCH {
-            return Response::bad_request(&format!(
-                "batch of {} questions exceeds the {MAX_BATCH}-question cap",
-                questions.len()
-            ));
-        }
         iis_obs::metrics::add("serve.batch_requests", 1);
-        let admitted: Vec<(bool, Admission)> = questions
-            .iter()
-            .map(|q| {
-                let prepared = solve_request_from_json(q)
-                    .map_err(|e| Response::bad_request(&e))
-                    .map(|req| self.apply_deadline(req));
-                match prepared {
-                    Ok(req) => {
-                        let wait = req.wait;
-                        (wait, self.admit(&req))
-                    }
-                    Err(resp) => (true, Admission::Ready(resp)),
-                }
-            })
-            .collect();
-        let answers: Vec<Json> = admitted
+        let admitted: Vec<(bool, Admission)> =
+            questions.iter().map(|q| self.admit_json(q)).collect();
+        let answers: Vec<Answer> = admitted
             .into_iter()
-            .map(|(wait, adm)| {
-                let resp = match adm {
-                    Admission::Ready(resp) => resp,
-                    Admission::Pending { id, key, coalesced } => {
-                        self.respond(wait, id, key, coalesced)
-                    }
-                };
-                answer_json(&resp)
-            })
+            .map(|(wait, admission)| self.respond(wait, admission))
             .collect();
-        Response::json(Json::obj([("answers", Json::Arr(answers))]).to_string())
+        Response::json(batch_envelope(&answers))
     }
 
     fn job_json(id: u64, job: &Job) -> Json {
         let mut fields = vec![
             ("job", Json::Num(id as f64)),
-            ("spec", Json::Str(job.spec.clone())),
-            ("max_rounds", job.max_rounds.to_json()),
+            ("spec", Json::Str(job.question.spec.clone())),
+            ("max_rounds", job.question.max_rounds.to_json()),
             ("status", Json::Str(job.status.name().to_string())),
         ];
         match &job.status {
@@ -696,7 +576,7 @@ impl SolveService {
         if ready {
             Response::json(body)
         } else {
-            Response::json_status("503 Service Unavailable", body)
+            Response::json_status(503, body)
         }
     }
 
@@ -741,32 +621,15 @@ pub fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let addr = flag_value(args, "--addr")?
         .unwrap_or("127.0.0.1:0")
         .to_string();
-    let workers: usize = flag_value(args, "--workers")?
-        .unwrap_or("2")
-        .parse()
-        .map_err(|_| err("bad --workers"))?;
-    if workers == 0 || workers > 64 {
-        return Err(err("need 1 ≤ --workers ≤ 64"));
-    }
-    let max_queue: usize = flag_value(args, "--queue")?
-        .unwrap_or("64")
-        .parse()
-        .map_err(|_| err("bad --queue"))?;
-    if max_queue == 0 || max_queue > 4096 {
-        return Err(err("need 1 ≤ --queue ≤ 4096"));
-    }
+    let workers = flag_in(args, "--workers", 2, 1..=MAX_JOBS)?;
+    let max_queue = flag_in(args, "--queue", 64, 1..=4096)?;
     let timeout: Option<Duration> = match flag_value(args, "--timeout-secs")? {
         Some(t) => Some(Duration::from_secs(
             t.parse().map_err(|_| err("bad --timeout-secs"))?,
         )),
         None => None,
     };
-    let drain: Duration = Duration::from_secs(
-        flag_value(args, "--drain-secs")?
-            .unwrap_or("10")
-            .parse()
-            .map_err(|_| err("bad --drain-secs"))?,
-    );
+    let drain = Duration::from_secs(flag_in(args, "--drain-secs", 10, 0..=u64::MAX)?);
     let store_dir = flag_value(args, "--store")?.map(String::from);
     // a service is always observable: /metrics must carry the serve.*
     // counters without requiring a global --stats/--serve flag
@@ -1189,22 +1052,22 @@ mod tests {
     fn batch_cap_and_empty_batch() {
         let svc = stalled_service(4096, None);
         let r = svc.handle_solve(r#"{"questions": []}"#);
-        assert_eq!(r.status, "200 OK");
+        assert_eq!(r.status, 200);
         assert_eq!(r.body, "{\"answers\":[]}");
         let r = svc.handle_solve(r#"{"questions": 3}"#);
-        assert_eq!(r.status, "400 Bad Request");
-        let many: Vec<String> = (0..=MAX_BATCH)
+        assert_eq!(r.status, 400);
+        let many: Vec<String> = (0..=iis_core::wire::MAX_BATCH)
             .map(|_| r#"{"spec": "trivial:1", "wait": false}"#.to_string())
             .collect();
         let r = svc.handle_solve(&format!("{{\"questions\": [{}]}}", many.join(",")));
-        assert_eq!(r.status, "400 Bad Request");
+        assert_eq!(r.status, 400);
         assert!(r.body.contains("cap"), "{}", r.body);
         // non-waiting questions come back as 202 elements in the envelope
         let r = svc.handle_solve(
             r#"{"questions": [{"spec": "trivial:1", "wait": false},
                               {"spec": "trivial:1", "wait": false}]}"#,
         );
-        assert_eq!(r.status, "200 OK");
+        assert_eq!(r.status, 200);
         let v = Json::parse(&r.body).unwrap();
         let Some(Json::Arr(answers)) = v.get("answers") else {
             panic!("{}", r.body);
@@ -1241,15 +1104,15 @@ mod tests {
         let svc = stalled_service(1, None);
         // first job occupies the whole queue (no worker ever pops it)
         let r = svc.handle_solve(r#"{"spec": "trivial:1", "wait": false}"#);
-        assert_eq!(r.status, "202 Accepted");
+        assert_eq!(r.status, 202);
         // a different key is shed with 503 + Retry-After
         let r = svc.handle_solve(r#"{"spec": "trivial:2", "wait": false}"#);
-        assert_eq!(r.status, "503 Service Unavailable");
+        assert_eq!(r.status, 503);
         assert!(r.headers.iter().any(|(n, _)| *n == "Retry-After"), "{r:?}");
         assert!(r.body.contains("queue full"), "{}", r.body);
         // the same key coalesces instead of being rejected
         let r = svc.handle_solve(r#"{"spec": "trivial:1", "wait": false}"#);
-        assert_eq!(r.status, "202 Accepted");
+        assert_eq!(r.status, 202);
         assert!(r.body.contains("coalesced"), "{}", r.body);
     }
 
@@ -1258,14 +1121,14 @@ mod tests {
         let svc = stalled_service(8, Some(Duration::from_millis(80)));
         let start = Instant::now();
         let r = svc.handle_solve(r#"{"spec": "trivial:1", "max_rounds": 1}"#);
-        assert_eq!(r.status, "504 Gateway Timeout");
+        assert_eq!(r.status, 504);
         assert!(start.elapsed() >= Duration::from_millis(80));
         let v = Json::parse(&r.body).unwrap();
         assert!(matches!(v.get("error"), Some(Json::Str(_))), "{}", r.body);
         // the job is still pollable after the waiter gave up
         let id = v.get("job").unwrap().as_f64().unwrap() as u64;
         let r = svc.handle_jobs(&format!("/jobs/{id}"));
-        assert_eq!(r.status, "200 OK");
+        assert_eq!(r.status, 200);
         assert!(r.body.contains("queued"), "{}", r.body);
     }
 
@@ -1274,11 +1137,11 @@ mod tests {
         let svc = stalled_service(8, None);
         svc.request_shutdown();
         let r = svc.handle_solve(r#"{"spec": "trivial:1"}"#);
-        assert_eq!(r.status, "503 Service Unavailable");
+        assert_eq!(r.status, 503);
         assert!(r.body.contains("shutting down"), "{}", r.body);
         // and /readyz reports the drain
         let r = svc.handle_ready();
-        assert_eq!(r.status, "503 Service Unavailable");
+        assert_eq!(r.status, 503);
         let v = Json::parse(&r.body).unwrap();
         assert_eq!(v.get("draining"), Some(&Json::Bool(true)), "{}", r.body);
     }
@@ -1299,7 +1162,7 @@ mod tests {
                 body: Vec::new(),
             };
             let r = svc.handle(&req).expect("service owns the route");
-            assert_eq!(r.status, "405 Method Not Allowed", "{method} {path}");
+            assert_eq!(r.status, 405, "{method} {path}");
             assert_eq!(
                 r.headers.iter().find(|(n, _)| *n == "Allow"),
                 Some(&("Allow", allow.to_string())),

@@ -9,12 +9,13 @@
 //! question returns byte-identical bytes wherever it lands — which is what
 //! makes aggressive failover safe.
 //!
-//! **Routing.** Each question hashes to `iis_core::cache::cache_key`; the
-//! key's replica set is the top `R` shards by rendezvous (highest random
-//! weight) hashing. HRW gives minimal disruption: adding or removing a
-//! shard only moves the keys that shard owns, with no ring to rebalance.
-//! Within the replica set, attempts go Ready shards first, read-only
-//! (quarantine-degraded) shards next, Down shards as a last resort.
+//! **Routing.** Each question is read by `iis_core::wire`, the parser the
+//! shards use, and hashes to its `cache_key`; the key's replica set is the
+//! top `R` shards by rendezvous (highest random weight) hashing. HRW gives
+//! minimal disruption: adding or removing a shard only moves the keys that
+//! shard owns, with no ring to rebalance. Within the replica set, attempts
+//! go Ready shards first, read-only (quarantine-degraded) shards next,
+//! Down shards as a last resort.
 //!
 //! **Batching.** A batch of questions is grouped by primary shard and
 //! fanned out on a bounded worker pool, one upstream `POST /solve`
@@ -24,11 +25,10 @@
 //! disturbing the rest of the batch.
 
 use crate::health::{HealthRegistry, ShardHealth};
-use crate::transport::Transport;
-use iis_core::cache::cache_key;
+use crate::transport::{Transport, TransportResponse};
+use iis_core::cache::fnv1a64;
+use iis_core::wire::{batch_envelope, parse_body, Answer, Question, SolveBody};
 use iis_obs::{Json, ToJson as _};
-use iis_tasks::library::parse_spec;
-use iis_tasks::Task;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -54,16 +54,6 @@ pub struct Gateway {
     workers: usize,
 }
 
-/// FNV-1a over a byte string, the same construction the store keys use.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// SplitMix64 finalizer: the rendezvous weight of (key, salt).
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -72,66 +62,17 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One answer as carried in a batch envelope: the per-question status plus
-/// the single-question response body.
-#[derive(Clone, Debug)]
-pub struct Answer {
-    /// Per-question numeric status.
-    pub status: u16,
-    /// The single-question response body (today's `POST /solve` schema).
-    pub body: Json,
-}
+/// The error when every replica of a key failed.
+const NO_REPLICA: &str = "no replica answered";
 
-impl Answer {
-    fn error(status: u16, msg: &str) -> Answer {
-        Answer {
-            status,
-            body: Json::obj([("error", Json::Str(msg.to_string()))]),
-        }
-    }
-
-    /// Renders the batch-envelope element `{"status": N, "body": …}`.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("status", Json::Num(f64::from(self.status))),
-            ("body", self.body.clone()),
-        ])
-    }
-}
-
-/// Renders a batch envelope `{"answers": […]}` from per-question answers.
-pub fn batch_envelope(answers: &[Answer]) -> String {
-    Json::obj([(
-        "answers",
-        Json::Arr(answers.iter().map(Answer::to_json).collect()),
-    )])
-    .to_string()
-}
-
-/// The routing-relevant reading of one question body: enough to compute
-/// its cache key. Everything else is forwarded verbatim.
+/// A question's routing key: [`Question::key`] of the body read by
+/// [`Question::from_json`], the parser the shards use too.
 ///
 /// # Errors
 ///
-/// Returns a message when the question names no task or a malformed one.
+/// Returns the parser's message for a malformed question.
 pub fn question_key(q: &Json) -> Result<u64, String> {
-    let task: Task = match (q.get("spec"), q.get("task")) {
-        (Some(s), None) => {
-            let s = s.as_str().ok_or("\"spec\" must be a string")?;
-            parse_spec(s)?
-        }
-        (None, Some(t)) => {
-            use iis_obs::json::FromJson as _;
-            Task::from_json(t).map_err(|e| format!("bad \"task\": {e}"))?
-        }
-        (Some(_), Some(_)) => return Err("give \"spec\" or \"task\", not both".to_string()),
-        (None, None) => return Err("body needs a \"spec\" or a \"task\"".to_string()),
-    };
-    let max_rounds = match q.get("max_rounds") {
-        None | Some(Json::Null) => 2,
-        Some(j) => j.as_f64().ok_or("\"max_rounds\" must be a number")? as usize,
-    };
-    Ok(cache_key(&task, max_rounds))
+    Question::from_json(q).map(|q| q.key())
 }
 
 impl Gateway {
@@ -146,12 +87,11 @@ impl Gateway {
             "gateway.retries",
             "gateway.failovers",
             "gateway.shard_down",
-            "gateway.hedges",
             "gateway.unroutable",
         ] {
             iis_obs::metrics::Counter::handle(name);
         }
-        let salts = cfg.backends.iter().map(|a| fnv64(a.as_bytes())).collect();
+        let salts = cfg.backends.iter().map(|a| fnv1a64(a.as_bytes())).collect();
         Gateway {
             health: HealthRegistry::new(&cfg.backends),
             salts,
@@ -184,7 +124,7 @@ impl Gateway {
         let mut order: Vec<usize> = (0..self.backends.len()).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(mix(key ^ self.salts[i])));
         order.truncate(self.replicas);
-        order.sort_by_key(|&i| self.health.health_of(i).rank());
+        order.sort_by_key(|&i| self.health.health_of(i));
         order
     }
 
@@ -194,10 +134,16 @@ impl Gateway {
         (0..self.backends.len()).max_by_key(|&i| mix(key ^ self.salts[i]))
     }
 
-    /// Answers one question by trying its replicas in order. 4xx answers
-    /// relay as-is (the question itself is bad — no replica will disagree);
-    /// transport errors and 5xx answers fail over to the next replica.
-    fn solve_via_replicas(&self, body: &str, replicas: &[usize], skip: Option<usize>) -> Answer {
+    /// Posts one question to its replicas in order until one answers.
+    /// A 4xx relays as-is (the question itself is bad — no replica will
+    /// disagree); transport errors and 5xx answers fail over to the next
+    /// replica. `None` when every replica failed.
+    fn relay(
+        &self,
+        body: &str,
+        replicas: &[usize],
+        skip: Option<usize>,
+    ) -> Option<TransportResponse> {
         let mut attempts = 0u32;
         for &idx in replicas {
             if Some(idx) == skip {
@@ -213,44 +159,52 @@ impl Gateway {
                     if attempts > 1 || skip.is_some() {
                         iis_obs::metrics::add("gateway.failovers", 1);
                     }
-                    return Answer {
-                        status: r.status,
-                        body: Json::parse(&r.body).unwrap_or_else(|_| Json::Str(r.body.clone())),
-                    };
+                    return Some(r);
                 }
                 Ok(_) | Err(_) => self.health.report_failure(idx),
             }
         }
-        Answer::error(503, "no replica answered")
+        None
     }
 
-    /// `POST /solve` with a single-question object body: route and relay,
-    /// preserving the backend's schema byte-for-byte.
-    pub fn solve_one(&self, body: &str) -> (u16, String) {
-        iis_obs::metrics::add("gateway.requests", 1);
-        let q = match Json::parse(body) {
-            Ok(q) => q,
-            Err(e) => {
-                return (
-                    400,
-                    Json::obj([("error", Json::Str(format!("bad JSON body: {e}")))]).to_string(),
-                )
-            }
+    /// [`Gateway::relay`] as a batch-envelope element.
+    fn answer_via_replicas(&self, body: &str, replicas: &[usize], skip: Option<usize>) -> Answer {
+        match self.relay(body, replicas, skip) {
+            Some(r) => Answer {
+                status: r.status,
+                body: Json::parse(&r.body).unwrap_or(Json::Str(r.body)),
+            },
+            None => Answer::error(503, NO_REPLICA),
+        }
+    }
+
+    /// `POST /solve`: a single question is routed and relayed with the
+    /// backend's reply bytes untouched; a `{"questions": […]}` batch is
+    /// scattered and gathered by [`Gateway::solve_batch`]. The body is
+    /// parsed once, by the same [`iis_core::wire`] rules the shards apply,
+    /// so a question refused here would be refused there with the same
+    /// message.
+    pub fn solve(&self, body: &str) -> (u16, String) {
+        let error = |status: u16, msg: &str| (status, Answer::error(status, msg).body.to_string());
+        let q = match parse_body(body) {
+            Ok(SolveBody::Batch(questions)) => return (200, self.solve_batch(&questions)),
+            Ok(SolveBody::One(q)) => q,
+            Err(e) => return error(400, &e),
         };
+        iis_obs::metrics::add("gateway.requests", 1);
         let key = match question_key(&q) {
             Ok(k) => k,
-            Err(e) => return (400, Json::obj([("error", Json::Str(e))]).to_string()),
+            Err(e) => return error(400, &e),
         };
         let replicas = self.replicas_for(key);
         if replicas.is_empty() {
             iis_obs::metrics::add("gateway.unroutable", 1);
-            return (
-                503,
-                Json::obj([("error", Json::Str("no backends configured".into()))]).to_string(),
-            );
+            return error(503, "no backends configured");
         }
-        let answer = self.solve_via_replicas(body, &replicas, None);
-        (answer.status, answer.body.to_string())
+        match self.relay(body, &replicas, None) {
+            Some(r) => (r.status, r.body),
+            None => error(503, NO_REPLICA),
+        }
     }
 
     /// `POST /solve` with a `{"questions": […]}` batch body: scatter by
@@ -261,24 +215,20 @@ impl Gateway {
         iis_obs::metrics::add("gateway.requests", questions.len() as u64);
         let mut answers: Vec<Option<Answer>> = vec![None; questions.len()];
         // route every question; invalid ones answer 400 without a trip
-        let mut routed: Vec<(usize, u64, Vec<usize>)> = Vec::new();
+        let mut routed: Vec<(usize, Vec<usize>)> = Vec::new();
         for (i, q) in questions.iter().enumerate() {
-            match question_key(q) {
-                Ok(key) => {
-                    let replicas = self.replicas_for(key);
-                    if replicas.is_empty() {
-                        iis_obs::metrics::add("gateway.unroutable", 1);
-                        answers[i] = Some(Answer::error(503, "no backends configured"));
-                    } else {
-                        routed.push((i, key, replicas));
-                    }
+            match question_key(q).map(|key| self.replicas_for(key)) {
+                Ok(replicas) if replicas.is_empty() => {
+                    iis_obs::metrics::add("gateway.unroutable", 1);
+                    answers[i] = Some(Answer::error(503, "no backends configured"));
                 }
+                Ok(replicas) => routed.push((i, replicas)),
                 Err(e) => answers[i] = Some(Answer::error(400, &e)),
             }
         }
         // group by primary shard
         let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (pos, (_, _, replicas)) in routed.iter().enumerate() {
+        for (pos, (_, replicas)) in routed.iter().enumerate() {
             groups.entry(replicas[0]).or_default().push(pos);
         }
         iis_obs::metrics::add("gateway.fanout", groups.len() as u64);
@@ -325,17 +275,17 @@ impl Gateway {
     fn dispatch_group(
         &self,
         questions: &[Json],
-        routed: &[(usize, u64, Vec<usize>)],
+        routed: &[(usize, Vec<usize>)],
         shard: usize,
         members: &[usize],
     ) -> Vec<Answer> {
         let failover = |pos: usize| {
-            let (qi, _, replicas) = &routed[pos];
-            self.solve_via_replicas(&questions[*qi].to_string(), replicas, Some(shard))
+            let (qi, replicas) = &routed[pos];
+            self.answer_via_replicas(&questions[*qi].to_string(), replicas, Some(shard))
         };
         if members.len() == 1 {
-            let (qi, _, replicas) = &routed[members[0]];
-            return vec![self.solve_via_replicas(&questions[*qi].to_string(), replicas, None)];
+            let (qi, replicas) = &routed[members[0]];
+            return vec![self.answer_via_replicas(&questions[*qi].to_string(), replicas, None)];
         }
         let body = Json::obj([(
             "questions",
@@ -348,7 +298,7 @@ impl Gateway {
         )])
         .to_string();
         let upstream = match self.transport.post(&self.backends[shard], "/solve", &body) {
-            Ok(r) if r.status == 200 => parse_batch_answers(&r.body, members.len()),
+            Ok(r) if r.status == 200 => Answer::parse_envelope(&r.body, members.len()),
             Ok(_) | Err(_) => None,
         };
         match upstream {
@@ -425,27 +375,6 @@ impl Gateway {
         }
         merge_prometheus(&texts)
     }
-}
-
-/// Parses a backend batch envelope into per-question [`Answer`]s; `None`
-/// when the body is not a well-formed envelope of exactly `expect`
-/// answers (a truncated or garbled reply must trigger failover, never a
-/// misaligned answer array).
-fn parse_batch_answers(body: &str, expect: usize) -> Option<Vec<Answer>> {
-    let v = Json::parse(body).ok()?;
-    let Some(Json::Arr(items)) = v.get("answers") else {
-        return None;
-    };
-    if items.len() != expect {
-        return None;
-    }
-    let mut answers = Vec::with_capacity(items.len());
-    for item in items {
-        let status = item.get("status")?.as_f64()? as u16;
-        let body = item.get("body")?.clone();
-        answers.push(Answer { status, body });
-    }
-    Some(answers)
 }
 
 /// Merges Prometheus text expositions by summing series with identical
@@ -596,22 +525,44 @@ mod tests {
     }
 
     #[test]
-    fn question_key_matches_serve_semantics() {
-        use iis_tasks::library::approximate_agreement;
-        let by_spec =
-            question_key(&Json::parse(r#"{"spec": "eps:1:3", "max_rounds": 2}"#).unwrap()).unwrap();
-        assert_eq!(by_spec, cache_key(&approximate_agreement(1, 3), 2));
-        // max_rounds defaults to 2, like the solve service
-        let defaulted = question_key(&Json::parse(r#"{"spec": "eps:1:3"}"#).unwrap()).unwrap();
-        assert_eq!(by_spec, defaulted);
-        // inline task bodies route identically to their spec form
-        let inline = Json::obj([
-            ("task", approximate_agreement(1, 3).to_json()),
-            ("max_rounds", Json::Num(2.0)),
-        ]);
-        assert_eq!(question_key(&inline).unwrap(), by_spec);
-        assert!(question_key(&Json::parse("{}").unwrap()).is_err());
-        assert!(question_key(&Json::parse(r#"{"spec": "nope:1"}"#).unwrap()).is_err());
+    fn question_key_is_the_shard_key_for_every_library_spec() {
+        use iis_core::cache::cache_key;
+        use iis_tasks::library::parse_spec;
+        let specs = [
+            "trivial:0",
+            "trivial:1",
+            "trivial:2",
+            "consensus:1",
+            "consensus:2",
+            "kset:2:1",
+            "kset:2:2",
+            "renaming:1:3",
+            "renaming:2:5",
+            "eps:1:3",
+            "eps:1:9",
+            "eps:2:2",
+            "oneshot:1",
+            "oneshot:2",
+        ];
+        for spec in specs {
+            let task = parse_spec(spec).unwrap();
+            for b in 0..=3usize {
+                let by_spec = Json::obj([
+                    ("spec", Json::Str(spec.to_string())),
+                    ("max_rounds", b.to_json()),
+                ]);
+                let inline = Json::obj([("task", task.to_json()), ("max_rounds", b.to_json())]);
+                let expect = cache_key(&task, b);
+                for q in [by_spec, inline] {
+                    assert_eq!(question_key(&q), Ok(expect), "{spec} b={b}");
+                    assert_eq!(
+                        Question::from_json(&q).unwrap().key(),
+                        expect,
+                        "{spec} b={b}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,8 +18,9 @@
 use crate::transport::Transport;
 use std::sync::{Mutex, PoisonError};
 
-/// Routing-relevant health of one shard.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Routing-relevant health of one shard, ordered by routing preference
+/// (lower is tried first).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ShardHealth {
     /// `/readyz` answered 200: fully routable.
     Ready,
@@ -37,15 +38,6 @@ impl ShardHealth {
             ShardHealth::Ready => "ready",
             ShardHealth::ReadOnly => "read-only",
             ShardHealth::Down => "down",
-        }
-    }
-
-    /// Routing preference: lower is tried first.
-    pub(crate) fn rank(self) -> u8 {
-        match self {
-            ShardHealth::Ready => 0,
-            ShardHealth::ReadOnly => 1,
-            ShardHealth::Down => 2,
         }
     }
 }

@@ -32,6 +32,7 @@ pub mod gateway;
 pub mod health;
 pub mod transport;
 
-pub use gateway::{batch_envelope, merge_prometheus, question_key, Answer, Gateway, GatewayConfig};
+pub use gateway::{merge_prometheus, question_key, Gateway, GatewayConfig};
 pub use health::{HealthRegistry, ShardHealth, ShardStatus};
+pub use iis_core::wire::{batch_envelope, Answer};
 pub use transport::{HttpTransport, Transport, TransportError, TransportResponse};

@@ -88,6 +88,11 @@ pub fn cache_key(task: &Task, max_rounds: usize) -> u64 {
     fnv1a64(&preimage)
 }
 
+/// A key in the fixed-width hex form replies and store records spell it.
+pub fn key_hex(key: u64) -> String {
+    format!("{key:016x}")
+}
+
 /// A rebuilt `SDS^b(I)` kept for revalidation: the flat arena form the
 /// validator walks, plus its (bit-identical) reference `Subdivision`
 /// conversion shared by every witness loaded against it.
@@ -275,7 +280,7 @@ use iis_obs::json::FromJson;
 
 /// `true` iff the sweep reached a verdict that may be persisted: a witness,
 /// or an exact refutation of every round `0..=max_rounds`.
-fn decided(report: &SolvabilityReport, max_rounds: usize) -> bool {
+pub fn decided(report: &SolvabilityReport, max_rounds: usize) -> bool {
     report.witness().is_some() || report.results().len() == max_rounds + 1
 }
 

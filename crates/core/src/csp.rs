@@ -71,6 +71,20 @@ pub enum Kernel {
     Reference,
 }
 
+/// Parses an engine name, `compiled` or `reference`: the spelling of both
+/// `iis solve --kernel` and a solve question's `"kernel"` field.
+impl std::str::FromStr for Kernel {
+    type Err = String;
+
+    fn from_str(name: &str) -> Result<Kernel, String> {
+        match name {
+            "compiled" => Ok(Kernel::Compiled),
+            "reference" => Ok(Kernel::Reference),
+            other => Err(format!("unknown kernel \"{other}\" (compiled|reference)")),
+        }
+    }
+}
+
 /// Per-color output-candidate tables: for each color of the output complex,
 /// its vertices in ascending `VertexId` order. A variable's domain is a
 /// bitset over its color's universe, `words` `u64`s wide for every color.

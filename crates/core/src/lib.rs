@@ -18,7 +18,10 @@
 //! - [`cache`] — content-addressed caching of solvability results: because
 //!   Proposition 3.1 makes the answer a pure function of `(task, b)`, a
 //!   decided sweep can be persisted and replayed bit-identically (the
-//!   substrate of `iis serve` and `iis solve --store`).
+//!   substrate of `iis serve` and `iis solve --store`);
+//! - [`wire`] — the solve protocol's wire format: the one strict
+//!   [`wire::Question`] parser and the batch answer envelope, shared by
+//!   `iis serve` and `iis gateway`.
 //!
 //! # Quickstart
 //!
@@ -51,6 +54,7 @@ pub mod parallel;
 pub mod protocol_complex;
 pub mod protocols;
 pub mod solvability;
+pub mod wire;
 
 pub use cache::{cache_key, solve_up_to_cached, CachedSolve, SolveCache};
 pub use concurrent::run_atomic_concurrent;

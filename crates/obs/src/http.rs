@@ -102,8 +102,8 @@ impl Request {
 /// A response for a [`serve_with`] handler to return.
 #[derive(Clone, Debug)]
 pub struct Response {
-    /// Status line tail, e.g. `"200 OK"`.
-    pub status: &'static str,
+    /// The status code; the reason phrase comes from [`reason_phrase`].
+    pub status: u16,
     /// `Content-Type` header value.
     pub content_type: &'static str,
     /// Extra response headers (e.g. `Retry-After`, `Allow`), emitted after
@@ -116,11 +116,11 @@ pub struct Response {
 impl Response {
     /// A `200 OK` JSON response.
     pub fn json(body: impl Into<String>) -> Response {
-        Response::json_status("200 OK", body)
+        Response::json_status(200, body)
     }
 
-    /// A JSON response with an explicit status line (e.g. `"202 Accepted"`).
-    pub fn json_status(status: &'static str, body: impl Into<String>) -> Response {
+    /// A JSON response with an explicit status (e.g. `202`).
+    pub fn json_status(status: u16, body: impl Into<String>) -> Response {
         Response {
             status,
             content_type: "application/json",
@@ -129,8 +129,8 @@ impl Response {
         }
     }
 
-    /// A plain-text response with an explicit status line.
-    pub fn text(status: &'static str, body: impl Into<String>) -> Response {
+    /// A plain-text response with an explicit status.
+    pub fn text(status: u16, body: impl Into<String>) -> Response {
         Response {
             status,
             content_type: "text/plain; charset=utf-8",
@@ -148,23 +148,41 @@ impl Response {
 
     /// The stock `404 Not Found` response.
     pub fn not_found() -> Response {
-        Response::text("404 Not Found", "not found\n")
+        Response::text(404, "not found\n")
     }
 
     /// The stock `405 Method Not Allowed` response, advertising the methods
     /// the route does accept via the `Allow` header.
     pub fn method_not_allowed(allow: &'static str) -> Response {
-        Response::text("405 Method Not Allowed", "method not allowed\n").with_header("Allow", allow)
+        Response::text(405, "method not allowed\n").with_header("Allow", allow)
     }
 
     /// A `400 Bad Request` JSON error body: `{"error": msg}`.
     pub fn bad_request(msg: &str) -> Response {
         Response::json_status(
-            "400 Bad Request",
+            400,
             crate::json::Json::obj([("error", crate::json::Json::Str(msg.to_string()))])
                 .to_string(),
         )
     }
+}
+
+/// The reason phrase of every status this workspace's servers emit;
+/// `None` for any other code.
+pub fn reason_phrase(status: u16) -> Option<&'static str> {
+    Some(match status {
+        200 => "OK",
+        202 => "Accepted",
+        400 => "Bad Request",
+        404 => "Not Found",
+        405 => "Method Not Allowed",
+        413 => "Payload Too Large",
+        500 => "Internal Server Error",
+        502 => "Bad Gateway",
+        503 => "Service Unavailable",
+        504 => "Gateway Timeout",
+        _ => return None,
+    })
 }
 
 /// An application route handler: inspect the request, return `Some`
@@ -457,9 +475,10 @@ fn read_request(
 
 fn write_response(stream: &mut TcpStream, response: &Response, keep_alive: bool) {
     let mut reply = format!(
-        "HTTP/1.1 {}\r\nContent-Type: {}\r\n\
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n\
          Content-Length: {}\r\nConnection: {}\r\n",
         response.status,
+        reason_phrase(response.status).unwrap_or("Unknown"),
         response.content_type,
         response.body.len(),
         if keep_alive { "keep-alive" } else { "close" },
@@ -525,7 +544,7 @@ fn route(request: &Request, handler: Option<&Handler>) -> Response {
     }
     match request.path.as_str() {
         "/metrics" => Response {
-            status: "200 OK",
+            status: 200,
             content_type: "text/plain; version=0.0.4; charset=utf-8",
             headers: Vec::new(),
             body: prometheus_text(&metrics::snapshot()),
@@ -533,7 +552,7 @@ fn route(request: &Request, handler: Option<&Handler>) -> Response {
         "/progress" => Response::json(progress::snapshot().to_json().to_string_pretty()),
         "/snapshot" => Response::json(metrics::snapshot().to_json().to_string_pretty()),
         "/" => Response::text(
-            "200 OK",
+            200,
             "iis scrape endpoint\nroutes: /metrics /progress /snapshot\n",
         ),
         _ => Response::not_found(),
@@ -597,7 +616,7 @@ fn bucket_le(floor: u64) -> Option<u64> {
     }
 }
 
-/// Default TCP connect timeout for [`Client`].
+/// The TCP connect timeout of every [`Client`] connection.
 pub const DEFAULT_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Default per-request wall-clock deadline for [`Client`] (send the
@@ -623,11 +642,6 @@ impl ClientResponse {
     pub fn body_utf8(&self) -> Option<&str> {
         std::str::from_utf8(&self.body).ok()
     }
-
-    /// Whether the status is in the 2xx range.
-    pub fn is_success(&self) -> bool {
-        (200..300).contains(&self.status)
-    }
 }
 
 /// A blocking HTTP/1.1 client with a per-host keep-alive connection pool
@@ -640,7 +654,6 @@ impl ClientResponse {
 /// fresh socket; errors on the fresh socket propagate to the caller.
 pub struct Client {
     idle: Mutex<std::collections::HashMap<String, Vec<TcpStream>>>,
-    connect_timeout: Duration,
     deadline: Duration,
 }
 
@@ -655,7 +668,6 @@ impl Client {
     pub fn new() -> Client {
         Client {
             idle: Mutex::new(std::collections::HashMap::new()),
-            connect_timeout: DEFAULT_CONNECT_TIMEOUT,
             deadline: DEFAULT_REQUEST_DEADLINE,
         }
     }
@@ -664,13 +676,6 @@ impl Client {
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Client {
         self.deadline = deadline;
-        self
-    }
-
-    /// Sets the TCP connect timeout (builder style).
-    #[must_use]
-    pub fn with_connect_timeout(mut self, timeout: Duration) -> Client {
-        self.connect_timeout = timeout;
         self
     }
 
@@ -745,7 +750,7 @@ impl Client {
                 format!("cannot resolve {addr}"),
             )
         })?;
-        let stream = TcpStream::connect_timeout(&sock, self.connect_timeout)?;
+        let stream = TcpStream::connect_timeout(&sock, DEFAULT_CONNECT_TIMEOUT)?;
         let _ = stream.set_nodelay(true);
         Ok(stream)
     }
@@ -921,6 +926,23 @@ mod tests {
     }
 
     #[test]
+    fn status_lines_carry_their_reason_phrase() {
+        assert_eq!(reason_phrase(200), Some("OK"));
+        assert_eq!(reason_phrase(503), Some("Service Unavailable"));
+        assert_eq!(reason_phrase(418), None);
+        let served = |status: u16| {
+            let handler: Arc<Handler> =
+                Arc::new(move |_: &Request| Some(Response::json_status(status, "{}")));
+            let server = serve_with("127.0.0.1:0", handler).unwrap();
+            let (head, _) = get(server.addr(), "/");
+            server.shutdown();
+            head.lines().next().unwrap_or("").to_string()
+        };
+        assert_eq!(served(504), "HTTP/1.1 504 Gateway Timeout");
+        assert_eq!(served(202), "HTTP/1.1 202 Accepted");
+    }
+
+    #[test]
     fn prometheus_rendering() {
         let mut snap = Snapshot::default();
         snap.counters.insert("solve.nodes".to_string(), 1234);
@@ -1037,7 +1059,7 @@ mod tests {
                 req.method,
                 req.body_utf8().unwrap_or("")
             ))),
-            "/accepted" => Some(Response::json_status("202 Accepted", "{}")),
+            "/accepted" => Some(Response::json_status(202, "{}")),
             _ => None,
         });
         let server = serve_with("127.0.0.1:0", handler).unwrap();
@@ -1076,7 +1098,7 @@ mod tests {
                 while !*open {
                     open = cv.wait(open).unwrap();
                 }
-                return Some(Response::text("200 OK", "unblocked\n"));
+                return Some(Response::text(200, "unblocked\n"));
             }
             None
         });
@@ -1194,10 +1216,8 @@ mod tests {
     #[test]
     fn extra_response_headers_are_emitted() {
         let handler: Arc<Handler> = Arc::new(|req: &Request| {
-            (req.path == "/busy").then(|| {
-                Response::json_status("503 Service Unavailable", "{}")
-                    .with_header("Retry-After", "1")
-            })
+            (req.path == "/busy")
+                .then(|| Response::json_status(503, "{}").with_header("Retry-After", "1"))
         });
         let server = serve_with("127.0.0.1:0", handler).unwrap();
         let addr = server.addr();

@@ -67,6 +67,7 @@
 pub mod io;
 
 use crate::io::{FsIo, Io};
+use iis_core::cache::key_hex;
 use iis_obs::{Json, ToJson};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -136,11 +137,6 @@ pub struct Store {
     /// Raised on any integrity failure or unrepairable write error; a
     /// degraded store refuses writes and keeps serving reads.
     degraded: Arc<AtomicBool>,
-}
-
-/// Renders a key as the fixed-width hex used in record lines.
-fn key_hex(key: u64) -> String {
-    format!("{key:016x}")
 }
 
 fn parse_key_hex(s: &str) -> Option<u64> {

@@ -9,6 +9,10 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 cargo build --offline --release --workspace
 cargo test --offline --workspace -q
+# The benchmark (perfbench/) is a package of its own outside the workspace
+# that imports the crates' public API: build it and run its self-tests, so
+# a renamed or removed import fails here and not in a benchmark run.
+cargo test --offline --manifest-path perfbench/Cargo.toml -q
 
 # Fixed-seed adversary smoke sweep: every runtime layer under crash
 # injection, shrinking on. Fails the build on any oracle failure; the
